@@ -261,41 +261,17 @@ func (c *Client) renew(ctx context.Context, token string, rr RenewRequest) error
 	return leaseLostOr(err)
 }
 
-// complete posts a tile's Report; discarded reports the coordinator's
-// exactly-once accounting (false when this result was a duplicate).
-func (c *Client) complete(ctx context.Context, token string, rep *trigene.Report) (accepted bool, err error) {
-	raw, err := json.Marshal(rep)
+// complete posts a tile's payload — the Report, ScreenScores or
+// PermScores its grant's stage produced; accepted reports the
+// coordinator's exactly-once accounting (false when this result was a
+// duplicate).
+func (c *Client) complete(ctx context.Context, token string, payload any) (accepted bool, err error) {
+	raw, err := json.Marshal(payload)
 	if err != nil {
 		return false, err
 	}
 	var resp CompleteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Report: raw}, &resp); err != nil {
-		return false, leaseLostOr(err)
-	}
-	return resp.Accepted, nil
-}
-
-// completeScreen posts a stage-1 tile's ScreenScores (screened jobs).
-func (c *Client) completeScreen(ctx context.Context, token string, sc *trigene.ScreenScores) (accepted bool, err error) {
-	raw, err := json.Marshal(sc)
-	if err != nil {
-		return false, err
-	}
-	var resp CompleteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Screen: raw}, &resp); err != nil {
-		return false, leaseLostOr(err)
-	}
-	return resp.Accepted, nil
-}
-
-// completePerm posts a permutation tile's PermScores (permutation jobs).
-func (c *Client) completePerm(ctx context.Context, token string, ps *trigene.PermScores) (accepted bool, err error) {
-	raw, err := json.Marshal(ps)
-	if err != nil {
-		return false, err
-	}
-	var resp CompleteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Perm: raw}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/lease/"+token+"/done", CompleteRequest{Payload: raw}, &resp); err != nil {
 		return false, leaseLostOr(err)
 	}
 	return resp.Accepted, nil

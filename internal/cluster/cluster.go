@@ -28,7 +28,7 @@
 //	POST /v1/jobs/{id}/cancel      cancel a running job
 //	POST /v1/lease                 acquire a tile lease (204 when none)
 //	POST /v1/lease/{token}/renew   heartbeat-extend the lease deadline
-//	POST /v1/lease/{token}/done    post the tile's Report
+//	POST /v1/lease/{token}/done    post the tile's payload (see phase.go)
 //	POST /v1/lease/{token}/fail    report a deterministic execution error
 //	POST /v1/workers/{id}/drain    stop granting new leases to a worker
 //	POST /v1/workers/{id}/leave    release a worker's leases, deregister
@@ -161,15 +161,15 @@ type LeaseGrant struct {
 	// Tile and Tiles are the shard coordinates to execute.
 	Tile  int `json:"tile"`
 	Tiles int `json:"tiles"`
-	// Stage marks the phase of a two-phase screened job: "screen" grants
-	// execute Session.ScreenStage1 over shard (Tile−StageBase) of
-	// StageCount and post ScreenScores; empty grants execute an ordinary
-	// sharded Search. A batch never mixes stages.
+	// Stage names what the grant's tiles run: "" an ordinary sharded
+	// Search posting its Report, "screen" Session.ScreenStage1 posting
+	// ScreenScores (stage 1 of a screened job), "perm"
+	// Session.PermutationSlice posting PermScores. A batch never mixes
+	// stages.
 	Stage string `json:"stage,omitempty"`
 	// StageBase and StageCount locate this grant's phase inside the
 	// job's lease-unit space: the phase's first tile index and its tile
-	// count. Zero StageCount means the whole space is one phase (every
-	// unscreened job) and Tile/Tiles are the shard coordinates directly.
+	// count. A tile runs shard (Tile−StageBase) of StageCount.
 	StageBase  int `json:"stageBase,omitempty"`
 	StageCount int `json:"stageCount,omitempty"`
 	// Granted lists every tile of this grant (weighted leasing hands
@@ -228,14 +228,10 @@ type WorkerList struct {
 
 // CompleteRequest is the body of POST /v1/lease/{token}/done.
 type CompleteRequest struct {
-	// Report is the tile's Report in the stable wire format (search
-	// tiles).
-	Report json.RawMessage `json:"report,omitempty"`
-	// Screen is the tile's ScreenScores (stage-1 tiles of a screened
-	// job); Perm the tile's PermScores (permutation jobs). Exactly one
-	// of Report, Screen and Perm is set.
-	Screen json.RawMessage `json:"screen,omitempty"`
-	Perm   json.RawMessage `json:"perm,omitempty"`
+	// Payload is what the grant's stage produced: the tile's Report in
+	// the stable wire format ("" stage), its ScreenScores ("screen") or
+	// its PermScores ("perm").
+	Payload json.RawMessage `json:"payload"`
 }
 
 // CompleteResponse is the body answering a completion.

@@ -119,11 +119,12 @@ func (w *workerInfo) weight(measured bool) float64 {
 	return w.capacity
 }
 
-// job is the coordinator-side state of one search.
+// job is the coordinator-side state of one submission: a lease-unit
+// space cut into phases (see phase.go), with one payload slot per unit.
 type job struct {
 	id, name string
-	spec     trigene.SearchSpec
-	tiles    int
+	spec     trigene.SearchSpec // as submitted
+	tiles    int                // lease units across every phase
 	state    string
 	err      string
 
@@ -131,48 +132,95 @@ type job struct {
 	datasetSHA    string // dataset content hash (Session.DatasetHash)
 	snps, samples int
 
-	leases  *sched.LeaseTable
-	reports []*trigene.Report  // one slot per tile
-	grantee map[int]granteeRef // tile -> holder of its current lease
-	result  *trigene.Report
-
-	// Two-phase screened jobs (spec.Screen set, survivors not pinned):
-	// lease units [0, screenTiles) are the stage-1 pair-scan shards,
-	// units [screenTiles, tiles) the stage-2 search tiles. Stage-2 units
-	// are granted only once every stage-1 unit completed and the merged
-	// scores were pinned into stage2 (the spec stage-2 grants carry,
-	// with Survivors/Seeds filled). screenTiles is 0 for unscreened
-	// jobs, and everything below is nil/zero then.
-	screenTiles int
-	screens     []*trigene.ScreenScores // one slot per stage-1 tile
-	stage2      *trigene.SearchSpec
-	screenInfo  *trigene.ScreenInfo
-	pinnedAt    time.Time
-
-	// Permutation jobs (spec.Perm set): tiles shard the permutation
-	// index range and complete with PermScores instead of Reports.
-	perms []*trigene.PermScores // one slot per tile
+	leases   *sched.LeaseTable
+	phases   []*phase
+	payloads []json.RawMessage  // one slot per unit, filled when the unit completes
+	grantee  map[int]granteeRef // tile -> holder of its current lease
+	result   *trigene.Report
 
 	submitted time.Time
 	finished  time.Time
 }
 
-// screened reports whether the job runs the two-phase screen protocol.
-func (j *job) screened() bool { return j.screenTiles > 0 }
-
-// perm reports whether the job is a permutation test.
-func (j *job) perm() bool { return j.spec.Perm != nil }
-
-// screenDone reports whether every stage-1 shard completed.
-func (j *job) screenDone() bool { return j.leases.DoneBelow(j.screenTiles) == j.screenTiles }
-
-// acquire grants the next free lease unit, holding stage-2 units back
-// while a screened job's stage-1 phase is still open (un-pinned).
-func (j *job) acquire(now time.Time, ttl time.Duration) (sched.TileLease, bool) {
-	if j.screened() && j.stage2 == nil {
-		return j.leases.AcquireBelow(now, ttl, j.screenTiles)
+// newJob builds a running job from its submit record (live submissions
+// and journal replay share it, so both cut the same phases).
+func newJob(rec walRecord) *job {
+	var spec trigene.SearchSpec
+	if rec.Spec != nil {
+		spec = *rec.Spec
 	}
-	return j.leases.Acquire(now, ttl)
+	return &job{
+		id:         rec.Job,
+		name:       rec.Name,
+		spec:       spec,
+		tiles:      rec.Tiles,
+		state:      StateRunning,
+		datasetSHA: rec.SHA,
+		snps:       rec.SNPs,
+		samples:    rec.Samples,
+		leases:     sched.NewLeaseTable(rec.Tiles),
+		phases:     newPhases(spec, rec.SNPs, rec.ScreenTiles, rec.Tiles),
+		payloads:   make([]json.RawMessage, rec.Tiles),
+		grantee:    make(map[int]granteeRef),
+		submitted:  time.Unix(0, rec.UnixNs),
+	}
+}
+
+// screenTiles counts the units ahead of the job's last phase: a
+// screened job's stage-1 shards, 0 for single-phase jobs.
+func (j *job) screenTiles() int { return j.phases[len(j.phases)-1].base }
+
+// phaseOf returns the phase owning lease unit u (nil when out of range).
+func (j *job) phaseOf(u int) *phase {
+	for _, ph := range j.phases {
+		if u >= ph.base && u < ph.base+ph.count {
+			return ph
+		}
+	}
+	return nil
+}
+
+// grantLimit is the end of the last phase whose spec is pinned: units
+// past it wait for the previous phase's merge. A phase is pinned only
+// once every unit before it completed, so a batch never mixes phases.
+func (j *job) grantLimit() int {
+	limit := 0
+	for _, ph := range j.phases {
+		if ph.spec == nil {
+			break
+		}
+		limit = ph.base + ph.count
+	}
+	return limit
+}
+
+// restore marks unit u done with its recorded payload — unless the
+// payload is missing or fails its phase's check (a record written by an
+// older coordinator, or a damaged one), in which case the unit stays
+// not done and re-issues: a unit counts only with a payload its merge
+// can use. Journal replay and snapshot import both restore through it.
+func (j *job) restore(u int, raw json.RawMessage) error {
+	ph := j.phaseOf(u)
+	if ph == nil {
+		return fmt.Errorf("unit %d outside the job's %d", u, j.tiles)
+	}
+	if err := ph.check(raw); err != nil {
+		return err
+	}
+	j.leases.RestoreDone(u)
+	j.payloads[u] = raw
+	return nil
+}
+
+// release moves the job out of StateRunning and drops what only a
+// running job needs. Live finishes and replayed finish records share it.
+func (j *job) release(state, errMsg string, at time.Time) {
+	j.state = state
+	j.err = errMsg
+	j.finished = at
+	j.dataset = nil
+	j.payloads = nil
+	j.grantee = nil
 }
 
 // granteeRef names the holder of one tile's current lease — worker ID
@@ -337,36 +385,19 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	c.seq++
-	units := req.Tiles + screenTiles
-	j := &job{
-		id:          "j" + strconv.Itoa(c.seq),
-		name:        req.Name,
-		spec:        req.Spec,
-		tiles:       units,
-		state:       StateRunning,
-		dataset:     packed,
-		datasetSHA:  sess.DatasetHash(),
-		snps:        sess.SNPs(),
-		samples:     sess.Samples(),
-		leases:      sched.NewLeaseTable(units),
-		reports:     make([]*trigene.Report, units),
-		grantee:     make(map[int]granteeRef),
-		screenTiles: screenTiles,
-		submitted:   c.cfg.Now(),
-	}
-	if screenTiles > 0 {
-		j.screens = make([]*trigene.ScreenScores, screenTiles)
-	}
-	if j.perm() {
-		j.perms = make([]*trigene.PermScores, units)
-	}
+	rec := walRecord{T: recSubmit, Job: "j" + strconv.Itoa(c.seq), Name: req.Name, Spec: &req.Spec,
+		Tiles: req.Tiles + screenTiles, ScreenTiles: screenTiles,
+		SHA: sess.DatasetHash(), SNPs: sess.SNPs(), Samples: sess.Samples(),
+		UnixNs: c.cfg.Now().UnixNano()}
+	j := newJob(rec)
+	j.dataset = packed
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	// The submission must be durable before it is acknowledged: the
 	// dataset goes to the pack store and the submit record is fsynced.
 	// On failure the job is rolled back — an unacknowledged submission
 	// must not run.
-	if err := c.journalSubmitLocked(j); err != nil {
+	if err := c.journalSubmitLocked(rec, packed); err != nil {
 		delete(c.jobs, j.id)
 		c.order = c.order[:len(c.order)-1]
 		c.seq--
@@ -521,11 +552,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		var grants []sched.TileLease
 		failed := false
+		limit := j.grantLimit()
 		for len(grants) < batch {
-			// Screened jobs gate stage 2 behind the screen: while the
-			// stage-1 phase is open, only its shards are grantable, so a
-			// batch never mixes stages.
-			l, ok := j.acquire(now, c.cfg.LeaseTTL)
+			l, ok := j.leases.AcquireBelow(now, c.cfg.LeaseTTL, limit)
 			if !ok {
 				break
 			}
@@ -567,26 +596,19 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			c.cfg.Logger.Debug("weighted tile batch granted",
 				"job", j.id, "tiles", len(grants), "worker", req.Worker)
 		}
+		ph := j.phaseOf(granted[0].Tile)
 		resp := LeaseGrant{
 			Token:         granted[0].Token,
 			Job:           j.id,
 			DatasetSHA256: j.datasetSHA,
-			Spec:          j.spec,
+			Spec:          *ph.spec,
 			Tile:          granted[0].Tile,
 			Tiles:         j.tiles,
+			Stage:         ph.stage,
+			StageBase:     ph.base,
+			StageCount:    ph.count,
 			Granted:       granted,
 			TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
-		}
-		if j.screened() {
-			if granted[0].Tile < j.screenTiles {
-				resp.Stage = "screen"
-				resp.StageBase, resp.StageCount = 0, j.screenTiles
-			} else {
-				// Stage 2: the pinned spec, with the merged screen's
-				// survivors and seeds baked in.
-				resp.Spec = *j.stage2
-				resp.StageBase, resp.StageCount = j.screenTiles, j.tiles-j.screenTiles
-			}
 		}
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -831,71 +853,28 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "job %s is not running", jobID)
 		return
 	}
-	// Decode (and sanity-check) the payload the tile's stage expects
-	// before touching the lease table, so a malformed body never marks
-	// a tile done.
-	screenTile := j.screened() && tile < j.screenTiles
-	var rep trigene.Report
-	var scores trigene.ScreenScores
-	var perm trigene.PermScores
-	switch {
-	case screenTile:
-		if err := json.Unmarshal(req.Screen, &scores); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding stage-1 screen scores: %v", err)
-			return
-		}
-		if scores.SNPs != j.snps {
-			writeErr(w, http.StatusBadRequest, "stage-1 scores cover %d SNPs; the job's dataset has %d", scores.SNPs, j.snps)
-			return
-		}
-	case j.perm():
-		if err := json.Unmarshal(req.Perm, &perm); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding tile perm scores: %v", err)
-			return
-		}
-		if err := perm.ValidateShape(); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid tile perm scores: %v", err)
-			return
-		}
-		if len(perm.SNPs) != len(j.spec.Perm.SNPs) {
-			writeErr(w, http.StatusBadRequest, "tile perm scores cover %d candidates; the job tests %d",
-				len(perm.SNPs), len(j.spec.Perm.SNPs))
-			return
-		}
-	default:
-		if err := json.Unmarshal(req.Report, &rep); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding tile report: %v", err)
+	// Check the payload before touching the lease table, so a malformed
+	// body never marks a tile done. Only the tile's live lease is
+	// checked: a stale or duplicate completion is discarded below
+	// whatever it carries.
+	if j.leases.Current(tile, seq) {
+		if err := j.phaseOf(tile).check(req.Payload); err != nil {
+			writeErr(w, http.StatusBadRequest, "invalid payload for tile %d: %v", tile, err)
 			return
 		}
 	}
 	switch st := j.leases.Complete(tile, seq); st {
 	case sched.CompleteAccepted:
-		switch {
-		case screenTile:
-			j.screens[tile] = &scores
-		case j.perm():
-			j.perms[tile] = &perm
-		default:
-			j.reports[tile] = &rep
-		}
+		j.payloads[tile] = req.Payload
 		if wi := c.workers[j.grantee[tile].worker]; wi != nil {
 			wi.completed++
 		}
-		// The completion — and, when it was the last tile, the finish
-		// record mergeLocked appends — must be durable before the
+		// The completion — and, when it closed the job, the finish
+		// record settleLocked appends — must be durable before the
 		// worker is told its result counted, or a crash would lose an
 		// acknowledged tile and re-execute it.
-		c.journalLocked(walRecord{T: recComplete, Job: j.id, Tile: tile, Seq: seq, Report: req.Report, Screen: req.Screen, Perm: req.Perm})
-		if screenTile && j.stage2 == nil && j.screenDone() {
-			// Last stage-1 shard: merge the scores, pin the survivor set,
-			// and open the stage-2 phase. Pinning is deterministic from
-			// the journaled per-shard scores, so recovery recomputes the
-			// identical stage-2 spec instead of journaling it.
-			c.pinStage2Locked(j)
-		}
-		if j.state == StateRunning && j.leases.Done() == j.tiles {
-			c.mergeLocked(j)
-		}
+		c.journalLocked(walRecord{T: recComplete, Job: j.id, Tile: tile, Seq: seq, Payload: req.Payload})
+		c.settleLocked(j)
 		if err := c.commitLocked(); err != nil {
 			writeErr(w, http.StatusInternalServerError, "journaling completion: %v", err)
 			return
@@ -949,96 +928,34 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
-// pinStage2Locked closes a screened job's stage-1 phase: merge the
-// per-shard scores bit-exactly (MergeScreens), select the survivor set
-// under the submitted budget, and pin survivors and seeds into the
-// spec every stage-2 grant carries. Deterministic given the shard
-// scores, so journal replay recomputes the identical pin. Selection
-// failures (scores that cannot seat an order-k search) fail the job —
-// re-running stage 1 would reproduce them.
-func (c *Coordinator) pinStage2Locked(j *job) {
-	merged, err := trigene.MergeScreens(j.screens...)
-	if err != nil {
-		c.finishLocked(j, StateFailed, fmt.Sprintf("merging stage-1 scores: %v", err))
-		return
-	}
-	survivors, threshold, err := merged.SelectSurvivors(j.spec.Screen.MaxSurvivors)
-	if err != nil {
-		c.finishLocked(j, StateFailed, fmt.Sprintf("selecting screen survivors: %v", err))
-		return
-	}
-	order := j.spec.Order
-	if order == 0 {
-		order = 3
-	}
-	if len(survivors) < order {
-		c.finishLocked(j, StateFailed,
-			fmt.Sprintf("screen kept %d survivors, fewer than the order-%d search needs", len(survivors), order))
-		return
-	}
-	seeds := merged.SeedList(j.spec.Screen.SeedPairs)
-	sp := j.spec
-	sp.Screen = &trigene.ScreenSpec{Survivors: survivors, Seeds: seeds}
-	j.stage2 = &sp
-	j.screenInfo = &trigene.ScreenInfo{
-		PairsScanned: merged.Pairs,
-		Survivors:    len(survivors),
-		SeedPairs:    len(seeds),
-		Threshold:    threshold,
-		Stage1Ns:     merged.DurationNs,
-	}
-	j.pinnedAt = c.cfg.Now()
-	c.cfg.Logger.Info("screen stage 1 complete; stage 2 opened",
-		"job", j.id, "pairsScanned", merged.Pairs, "survivors", len(survivors), "seeds", len(seeds))
-}
-
-// mergeLocked assembles the final Report from the per-tile Reports (in
-// tile order — MergeReports' candidate ordering is order-independent,
-// but determinism is easier to audit this way). Screened jobs merge
-// only their stage-2 slots and carry the coordinator-assembled
-// ScreenInfo (the per-tile reports ran pinned and know nothing of the
-// stage-1 scan). Permutation jobs sum per-range hit counts instead
-// (MergePerms) and answer with a Report whose Perm block carries the
-// finalized p-values — bit-exact with a single-node run because every
-// range seeded its shuffles by absolute permutation index.
-func (c *Coordinator) mergeLocked(j *job) {
-	if j.perm() {
-		merged, err := trigene.MergePerms(j.perms...)
-		if err != nil {
-			c.finishLocked(j, StateFailed, fmt.Sprintf("merging permutation ranges: %v", err))
+// settleLocked runs, in phase order, the merge of every phase whose
+// units all completed and whose merge has not run yet: a merged phase
+// pins the next one, and the last phase's merge finishes the job with
+// its Report. The completion path and recovery both call it, so a
+// recovered job re-pins and merges exactly as the uninterrupted run
+// did. A merge error fails the job: re-running the tiles would
+// reproduce it.
+func (c *Coordinator) settleLocked(j *job) {
+	for i, ph := range j.phases {
+		end := ph.base + ph.count
+		if j.state != StateRunning || ph.spec == nil || j.leases.DoneBelow(end) < end {
 			return
 		}
-		rep, err := trigene.FinalizePerms(j.spec.Perm, merged, j.tiles)
-		if err != nil {
-			c.finishLocked(j, StateFailed, fmt.Sprintf("finalizing permutation test: %v", err))
-			return
+		if i+1 < len(j.phases) && j.phases[i+1].spec != nil {
+			continue
 		}
-		j.result = rep
-		c.finishLocked(j, StateDone, "")
-		c.cfg.Logger.Info("permutation job done",
-			"job", j.id, "candidates", len(merged.SNPs), "permutations", merged.Count)
-		return
-	}
-	reports := j.reports
-	if j.screened() {
-		reports = j.reports[j.screenTiles:]
-	}
-	merged, err := trigene.MergeReports(reports...)
-	if err != nil {
-		c.finishLocked(j, StateFailed, fmt.Sprintf("merging tile reports: %v", err))
-		return
-	}
-	if j.screened() && j.screenInfo != nil {
-		info := *j.screenInfo
-		if !j.pinnedAt.IsZero() {
-			info.Stage2Ns = c.cfg.Now().Sub(j.pinnedAt).Nanoseconds()
+		rep, err := ph.merge(j.payloads[ph.base:end], c.cfg.Now())
+		switch {
+		case err != nil:
+			c.finishLocked(j, StateFailed, err.Error())
+		case rep != nil:
+			j.result = rep
+			c.finishLocked(j, StateDone, "")
+			c.cfg.Logger.Info("job done", "job", j.id, "tiles", j.tiles)
+		default:
+			c.cfg.Logger.Info("phase merged; next phase opened", "job", j.id, "stage", ph.stage)
 		}
-		merged.Screen = &info
 	}
-	j.result = merged
-	c.finishLocked(j, StateDone, "")
-	c.cfg.Logger.Info("job done",
-		"job", j.id, "combinations", merged.Combinations, "best", fmt.Sprint(merged.Best.SNPs))
 }
 
 // finishLocked moves a job out of StateRunning: records the outcome,
@@ -1047,14 +964,7 @@ func (c *Coordinator) mergeLocked(j *job) {
 // beyond the retention cap.
 func (c *Coordinator) finishLocked(j *job, state, errMsg string) {
 	c.cm.finishCount(state)
-	j.state = state
-	j.err = errMsg
-	j.dataset = nil
-	j.reports = nil
-	j.screens = nil
-	j.perms = nil
-	j.grantee = nil
-	j.finished = c.cfg.Now()
+	j.release(state, errMsg, c.cfg.Now())
 	c.journalFinishLocked(j)
 	c.evictFinishedLocked()
 }
@@ -1096,9 +1006,9 @@ func (j *job) status(now time.Time) JobStatus {
 		Error:           j.err,
 		SubmittedUnixMs: j.submitted.UnixMilli(),
 	}
-	if j.screened() {
-		st.ScreenTiles = j.screenTiles
-		st.ScreenDone = j.leases.DoneBelow(j.screenTiles)
+	if n := j.screenTiles(); n > 0 {
+		st.ScreenTiles = n
+		st.ScreenDone = j.leases.DoneBelow(n)
 	}
 	if !j.finished.IsZero() {
 		st.DurationMs = float64(j.finished.Sub(j.submitted)) / float64(time.Millisecond)

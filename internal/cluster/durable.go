@@ -67,13 +67,10 @@ type walRecord struct {
 	Attempt int    `json:"attempt,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 
-	// complete: Report for search tiles, Screen for a screened job's
-	// stage-1 tiles, Perm for a permutation job's range tiles. The
-	// stage-2 pin is deliberately not journaled — recovery recomputes it
-	// deterministically from the replayed scores.
-	Report json.RawMessage `json:"report,omitempty"`
-	Screen json.RawMessage `json:"screen,omitempty"`
-	Perm   json.RawMessage `json:"perm,omitempty"`
+	// complete: the tile's payload, as its phase checked it. What a
+	// phase's merge pins into the next phase is deliberately not
+	// journaled — recovery re-runs the merge on the replayed payloads.
+	Payload json.RawMessage `json:"payload,omitempty"`
 
 	// finish
 	State  string          `json:"state,omitempty"`
@@ -106,10 +103,8 @@ type walJob struct {
 	LeaseSeq        uint64             `json:"leaseSeq,omitempty"`
 	TileStates      []sched.TileState  `json:"tileStates,omitempty"`
 	Grantees        []walGrantee       `json:"grantees,omitempty"`
-	Reports         []json.RawMessage  `json:"reports,omitempty"`
 	ScreenTiles     int                `json:"screenTiles,omitempty"`
-	Screens         []json.RawMessage  `json:"screens,omitempty"`
-	Perms           []json.RawMessage  `json:"perms,omitempty"`
+	Payloads        []json.RawMessage  `json:"payloads,omitempty"`
 	Result          json.RawMessage    `json:"result,omitempty"`
 	SubmittedUnixNs int64              `json:"sub"`
 	FinishedUnixNs  int64              `json:"fin,omitempty"`
@@ -200,21 +195,12 @@ func (c *Coordinator) recoverLocked() error {
 		if j == nil || j.state != StateRunning {
 			continue
 		}
-		if j.screened() && j.stage2 == nil && j.screenDone() {
-			// The stage-1 phase finished but the crash swallowed the pin:
-			// recompute it from the replayed scores — MergeScreens and
-			// SelectSurvivors are deterministic, so the stage-2 spec is
-			// identical to the one pre-crash grants carried.
-			c.pinStage2Locked(j)
-			if j.state != StateRunning {
-				continue
-			}
-		}
-		if j.leases.Done() == j.tiles {
-			// Every tile completed but the finish record was lost with
-			// the crash: merge now, exactly as the uninterrupted run
-			// would have.
-			c.mergeLocked(j)
+		// Merges the crash swallowed (a phase's last completion landed
+		// but its pin, or the job's finish record, did not): merges are
+		// deterministic given the payloads, so this reproduces the
+		// uninterrupted run.
+		c.settleLocked(j)
+		if j.state != StateRunning {
 			continue
 		}
 		data, err := os.ReadFile(c.packPath(j.datasetSHA))
@@ -246,29 +232,7 @@ func (c *Coordinator) recoverLocked() error {
 func (c *Coordinator) applyLocked(rec walRecord) {
 	switch rec.T {
 	case recSubmit:
-		j := &job{
-			id:          rec.Job,
-			name:        rec.Name,
-			tiles:       rec.Tiles,
-			state:       StateRunning,
-			datasetSHA:  rec.SHA,
-			snps:        rec.SNPs,
-			samples:     rec.Samples,
-			leases:      sched.NewLeaseTable(rec.Tiles),
-			reports:     make([]*trigene.Report, rec.Tiles),
-			grantee:     make(map[int]granteeRef),
-			screenTiles: rec.ScreenTiles,
-			submitted:   time.Unix(0, rec.UnixNs),
-		}
-		if rec.ScreenTiles > 0 {
-			j.screens = make([]*trigene.ScreenScores, rec.ScreenTiles)
-		}
-		if rec.Spec != nil {
-			j.spec = *rec.Spec
-		}
-		if j.perm() {
-			j.perms = make([]*trigene.PermScores, rec.Tiles)
-		}
+		j := newJob(rec)
 		c.jobs[j.id] = j
 		c.order = append(c.order, j.id)
 		// Job IDs are "j<n>"; the counter resumes past every replayed
@@ -288,36 +252,10 @@ func (c *Coordinator) applyLocked(rec walRecord) {
 		if j == nil || j.state != StateRunning {
 			return
 		}
-		if j.screened() && rec.Tile < j.screenTiles {
-			var scores trigene.ScreenScores
-			if err := json.Unmarshal(rec.Screen, &scores); err != nil {
-				c.cfg.Logger.Warn("wal: undecodable stage-1 scores",
-					"job", rec.Job, "tile", rec.Tile, "error", err)
-				return
-			}
-			j.leases.RestoreDone(rec.Tile)
-			j.screens[rec.Tile] = &scores
-			return
-		}
-		if j.perm() {
-			var perm trigene.PermScores
-			if err := json.Unmarshal(rec.Perm, &perm); err != nil {
-				c.cfg.Logger.Warn("wal: undecodable tile perm scores",
-					"job", rec.Job, "tile", rec.Tile, "error", err)
-				return
-			}
-			j.leases.RestoreDone(rec.Tile)
-			j.perms[rec.Tile] = &perm
-			return
-		}
-		var rep trigene.Report
-		if err := json.Unmarshal(rec.Report, &rep); err != nil {
-			c.cfg.Logger.Warn("wal: undecodable tile report",
+		if err := j.restore(rec.Tile, rec.Payload); err != nil {
+			c.cfg.Logger.Warn("wal: completed tile restored as not done",
 				"job", rec.Job, "tile", rec.Tile, "error", err)
-			return
 		}
-		j.leases.RestoreDone(rec.Tile)
-		j.reports[rec.Tile] = &rep
 	case recRelease:
 		j := c.jobs[rec.Job]
 		if j == nil || j.state != StateRunning {
@@ -331,13 +269,7 @@ func (c *Coordinator) applyLocked(rec walRecord) {
 		if j == nil {
 			return
 		}
-		j.state = rec.State
-		j.err = rec.Err
-		j.dataset = nil
-		j.reports = nil
-		j.perms = nil
-		j.grantee = nil
-		j.finished = time.Unix(0, rec.UnixNs)
+		j.release(rec.State, rec.Err, time.Unix(0, rec.UnixNs))
 		if len(rec.Result) > 0 {
 			var rep trigene.Report
 			if err := json.Unmarshal(rec.Result, &rep); err == nil {
@@ -358,70 +290,44 @@ func (c *Coordinator) importSnapshotLocked(data []byte) error {
 	}
 	c.seq = snap.Seq
 	for _, wj := range snap.Jobs {
-		j := &job{
-			id:         wj.ID,
-			name:       wj.Name,
-			spec:       wj.Spec,
-			tiles:      wj.Tiles,
-			state:      wj.State,
-			err:        wj.Err,
-			datasetSHA: wj.SHA,
-			snps:       wj.SNPs,
-			samples:    wj.Samples,
-			leases:     sched.ImportLeaseTable(wj.LeaseSeq, wj.TileStates),
-			submitted:  time.Unix(0, wj.SubmittedUnixNs),
+		spec := wj.Spec
+		j := newJob(walRecord{Job: wj.ID, Name: wj.Name, Spec: &spec, Tiles: wj.Tiles,
+			ScreenTiles: wj.ScreenTiles, SHA: wj.SHA, SNPs: wj.SNPs, Samples: wj.Samples,
+			UnixNs: wj.SubmittedUnixNs})
+		for _, g := range wj.Grantees {
+			j.grantee[g.Tile] = granteeRef{worker: g.Worker, seq: g.Seq}
 		}
-		if wj.TileStates == nil {
-			j.leases = sched.NewLeaseTable(wj.Tiles)
+		if wj.TileStates != nil {
+			var done []int
+			if wj.State == StateRunning {
+				// A running job's completed units count again only
+				// through restore, which checks their payloads.
+				for u := range wj.TileStates {
+					if wj.TileStates[u].State == sched.TileStateDone {
+						wj.TileStates[u].State = sched.TileStateFree
+						done = append(done, u)
+					}
+				}
+			}
+			j.leases = sched.ImportLeaseTable(wj.LeaseSeq, wj.TileStates)
+			for _, u := range done {
+				var raw json.RawMessage
+				if u < len(wj.Payloads) {
+					raw = wj.Payloads[u]
+				}
+				if err := j.restore(u, raw); err != nil {
+					c.cfg.Logger.Warn("snapshot: completed tile restored as not done",
+						"job", j.id, "tile", u, "error", err)
+				}
+			}
 		}
-		if wj.FinishedUnixNs != 0 {
-			j.finished = time.Unix(0, wj.FinishedUnixNs)
+		if wj.State != StateRunning {
+			j.release(wj.State, wj.Err, time.Unix(0, wj.FinishedUnixNs))
 		}
 		if len(wj.Result) > 0 {
 			var rep trigene.Report
 			if err := json.Unmarshal(wj.Result, &rep); err == nil {
 				j.result = &rep
-			}
-		}
-		if wj.State == StateRunning {
-			j.reports = make([]*trigene.Report, wj.Tiles)
-			for i, raw := range wj.Reports {
-				if i >= wj.Tiles || len(raw) == 0 {
-					continue
-				}
-				var rep trigene.Report
-				if err := json.Unmarshal(raw, &rep); err == nil {
-					j.reports[i] = &rep
-				}
-			}
-			j.screenTiles = wj.ScreenTiles
-			if wj.ScreenTiles > 0 {
-				j.screens = make([]*trigene.ScreenScores, wj.ScreenTiles)
-				for i, raw := range wj.Screens {
-					if i >= wj.ScreenTiles || len(raw) == 0 {
-						continue
-					}
-					var sc trigene.ScreenScores
-					if err := json.Unmarshal(raw, &sc); err == nil {
-						j.screens[i] = &sc
-					}
-				}
-			}
-			if j.perm() {
-				j.perms = make([]*trigene.PermScores, wj.Tiles)
-				for i, raw := range wj.Perms {
-					if i >= wj.Tiles || len(raw) == 0 {
-						continue
-					}
-					var ps trigene.PermScores
-					if err := json.Unmarshal(raw, &ps); err == nil {
-						j.perms[i] = &ps
-					}
-				}
-			}
-			j.grantee = make(map[int]granteeRef, len(wj.Grantees))
-			for _, g := range wj.Grantees {
-				j.grantee[g.Tile] = granteeRef{worker: g.Worker, seq: g.Seq}
 			}
 		}
 		c.jobs[j.id] = j
@@ -445,6 +351,8 @@ func (c *Coordinator) exportLocked() walSnapshot {
 			SHA:             j.datasetSHA,
 			SNPs:            j.snps,
 			Samples:         j.samples,
+			ScreenTiles:     j.screenTiles(),
+			Payloads:        j.payloads,
 			SubmittedUnixNs: j.submitted.UnixNano(),
 		}
 		wj.LeaseSeq, wj.TileStates = j.leases.Export()
@@ -454,36 +362,10 @@ func (c *Coordinator) exportLocked() walSnapshot {
 		if j.result != nil {
 			wj.Result, _ = json.Marshal(j.result)
 		}
-		if j.state == StateRunning {
-			wj.Reports = make([]json.RawMessage, j.tiles)
-			for i, rep := range j.reports {
-				if rep != nil {
-					wj.Reports[i], _ = json.Marshal(rep)
-				}
-			}
-			wj.ScreenTiles = j.screenTiles
-			if j.screenTiles > 0 {
-				wj.Screens = make([]json.RawMessage, j.screenTiles)
-				for i, sc := range j.screens {
-					if sc != nil {
-						wj.Screens[i], _ = json.Marshal(sc)
-					}
-				}
-			}
-			if j.perm() {
-				wj.Perms = make([]json.RawMessage, j.tiles)
-				for i, ps := range j.perms {
-					if ps != nil {
-						wj.Perms[i], _ = json.Marshal(ps)
-					}
-				}
-			}
-			wj.Grantees = make([]walGrantee, 0, len(j.grantee))
-			for tile, g := range j.grantee {
-				wj.Grantees = append(wj.Grantees, walGrantee{Tile: tile, Worker: g.worker, Seq: g.seq})
-			}
-			sort.Slice(wj.Grantees, func(a, b int) bool { return wj.Grantees[a].Tile < wj.Grantees[b].Tile })
+		for tile, g := range j.grantee {
+			wj.Grantees = append(wj.Grantees, walGrantee{Tile: tile, Worker: g.worker, Seq: g.seq})
 		}
+		sort.Slice(wj.Grantees, func(a, b int) bool { return wj.Grantees[a].Tile < wj.Grantees[b].Tile })
 		snap.Jobs = append(snap.Jobs, wj)
 	}
 	return snap
@@ -556,17 +438,14 @@ func (c *Coordinator) journalFinishLocked(j *job) {
 // journalSubmitLocked persists a new job: the dataset into the pack
 // store first, then the fsynced submit record referencing it — so a
 // replayed submit always finds its pack.
-func (c *Coordinator) journalSubmitLocked(j *job) error {
+func (c *Coordinator) journalSubmitLocked(rec walRecord, dataset []byte) error {
 	if c.log == nil {
 		return nil
 	}
-	if err := c.writePack(j.datasetSHA, j.dataset); err != nil {
+	if err := c.writePack(rec.SHA, dataset); err != nil {
 		return err
 	}
-	c.journalLocked(walRecord{T: recSubmit, Job: j.id, Name: j.name, Spec: &j.spec,
-		Tiles: j.tiles, ScreenTiles: j.screenTiles,
-		SHA: j.datasetSHA, SNPs: j.snps, Samples: j.samples,
-		UnixNs: j.submitted.UnixNano()})
+	c.journalLocked(rec)
 	return c.commitLocked()
 }
 

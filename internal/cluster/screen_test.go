@@ -138,7 +138,7 @@ func TestClusterScreenedPhaseGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if accepted, err := cl.completeScreen(context.Background(), tg.Token, scores); err != nil || !accepted {
+			if accepted, err := cl.complete(context.Background(), tg.Token, scores); err != nil || !accepted {
 				t.Fatalf("stage-1 completion tile %d: accepted=%v err=%v", tg.Tile, accepted, err)
 			}
 		}
@@ -259,7 +259,7 @@ func TestDurableScreenedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc, err := cl.completeScreen(ctx, g1.Token, scores); err != nil || !acc {
+	if acc, err := cl.complete(ctx, g1.Token, scores); err != nil || !acc {
 		t.Fatalf("stage-1 completion: accepted=%v err=%v", acc, err)
 	}
 	proxy.crash()
@@ -283,7 +283,7 @@ func TestDurableScreenedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc, err := cl.completeScreen(ctx, g2.Token, scores); err != nil || !acc {
+	if acc, err := cl.complete(ctx, g2.Token, scores); err != nil || !acc {
 		t.Fatalf("stage-1 completion: accepted=%v err=%v", acc, err)
 	}
 	proxy.crash()

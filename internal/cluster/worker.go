@@ -306,19 +306,14 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) {
 		}
 		return
 	}
-	var opts []trigene.Option
-	if grant.Stage != "screen" {
-		// Stage-1 grants run ScreenStage1, which takes its own narrow
-		// option set; only search grants rebuild the full spec.
-		opts, err = grant.Spec.Options()
-		if err != nil {
-			// The coordinator validated the spec at submit; a rebuild error
-			// here is deterministic (version skew), so fail the job loudly.
-			w.logger().Error("rebuilding spec failed; failing the job",
-				"job", grant.Job, "tile", tiles[0].Tile, "token", tiles[0].Token, "error", err)
-			w.failJob(ctx, tiles[0].Token, fmt.Sprintf("rebuilding spec: %v", err))
-			return
-		}
+	run, err := w.runner(grant)
+	if err != nil {
+		// The coordinator validated the spec at submit; a rebuild error
+		// here is deterministic (version skew), so fail the job loudly.
+		w.logger().Error("preparing grant failed; failing the job",
+			"job", grant.Job, "tile", tiles[0].Tile, "token", tiles[0].Token, "error", err)
+		w.failJob(ctx, tiles[0].Token, err.Error())
+		return
 	}
 
 	hb := w.startHeartbeats(ctx, grant, tiles)
@@ -333,179 +328,79 @@ func (w *Worker) execute(ctx context.Context, grant LeaseGrant) {
 				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
 			continue
 		}
-		ok := false
-		switch {
-		case grant.Stage == "screen":
-			ok = w.executeScreenTile(ctx, hb, grant, tg, sess)
-		case grant.Spec.Perm != nil:
-			ok = w.executePermTile(ctx, hb, grant, tg, sess, opts)
-		default:
-			ok = w.executeTile(ctx, hb, grant, tg, sess, opts)
-		}
-		if !ok {
+		if !w.executeTile(ctx, hb, grant, tg, sess, run) {
 			return
 		}
 	}
 }
 
-// shardCoords maps a lease-unit index onto the shard the tile's phase
-// covers: unscreened jobs shard the whole space (Tile of Tiles), a
-// two-phase job's grants shard within their stage.
-func shardCoords(grant LeaseGrant, tg TileGrant) (index, count int) {
-	if grant.StageCount > 0 {
-		return tg.Tile - grant.StageBase, grant.StageCount
-	}
-	return tg.Tile, grant.Tiles
-}
+// tileRunner executes shard index of count of a grant's phase and
+// returns the payload the coordinator's phase check expects.
+type tileRunner func(ctx context.Context, sess *trigene.Session, index, count int) (any, error)
 
-// executeScreenTile runs one stage-1 shard of a screened job — the
-// pairwise scan over shard (Tile−StageBase) of StageCount — and posts
-// its ScreenScores; the coordinator merges the shards and pins the
-// survivor set when the last one lands. Reports false when the whole
-// batch should be abandoned.
-func (w *Worker) executeScreenTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session) bool {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hb.setCurrent(tg.Token, cancel)
-	defer hb.clearCurrent()
-
-	index, count := shardCoords(grant, tg)
-	opts := []trigene.Option{trigene.WithShard(index, count), trigene.WithMetrics(w.reg)}
-	if grant.Spec.Objective != "" {
-		opts = append(opts, trigene.WithObjective(grant.Spec.Objective))
-	}
-	if grant.Spec.Workers != 0 {
-		opts = append(opts, trigene.WithWorkers(grant.Spec.Workers))
-	}
-	seedPairs := 0
-	if grant.Spec.Screen != nil {
-		seedPairs = grant.Spec.Screen.SeedPairs
-	}
-
-	w.logger().Info("executing screen tile",
-		"job", grant.Job, "tile", tg.Tile, "shard", index, "shards", count, "token", tg.Token)
-	start := time.Now()
-	scores, err := sess.ScreenStage1(sctx, seedPairs, opts...)
-
-	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		w.observe(elapsed)
-		w.wm.tiles.Inc()
-		w.wm.tileSeconds.Observe(elapsed.Seconds())
-		hb.finish(tg.Token)
-		accepted, cerr := w.Client.completeScreen(ctx, tg.Token, scores)
-		switch {
-		case errors.Is(cerr, errLeaseLost):
-			w.logger().Info("completed after lease loss; result discarded",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		case cerr != nil:
-			w.logger().Warn("posting screen scores failed",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", cerr)
-		case !accepted:
-			w.logger().Info("duplicate result discarded by coordinator",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+// runner picks the Session entry point a grant's stage runs, with the
+// options rebuilt from the grant's spec once per batch.
+func (w *Worker) runner(grant LeaseGrant) (tileRunner, error) {
+	spec := grant.Spec
+	if grant.Stage == stageScreen {
+		// Stage 1 takes its own narrow option set, not the full spec.
+		opts := []trigene.Option{trigene.WithMetrics(w.reg)}
+		if spec.Objective != "" {
+			opts = append(opts, trigene.WithObjective(spec.Objective))
 		}
-	case hb.lost(tg.Token):
-		w.logger().Info("lease lost mid-scan; abandoning tile",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-	case ctx.Err() != nil:
-		// Shutdown: leave the leases to expire and be re-issued.
-	default:
-		w.logger().Error("screen tile failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
-		w.failJob(ctx, tg.Token, err.Error())
-		return false
-	}
-	return true
-}
-
-// executePermTile runs one permutation-range tile of a permutation job:
-// the grant's shard of the [0, P) permutation index space, evaluated
-// with Session.PermutationSlice and posted back as PermScores. Because
-// every permutation seeds its shuffle by absolute index, the range the
-// shard covers is bit-exact regardless of which worker runs it or how
-// the space was cut. Reports false when the whole batch should be
-// abandoned (the job was failed deterministically).
-func (w *Worker) executePermTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) bool {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hb.setCurrent(tg.Token, cancel)
-	defer hb.clearCurrent()
-
-	index, count := shardCoords(grant, tg)
-	src, serr := sched.Permutations(grant.Spec.Perm.PermutationCount(), count).Shard(sched.Shard{Index: index, Count: count})
-	if serr != nil {
-		// The coordinator sized the space at submit; a shard error here
-		// is deterministic, so fail the job loudly.
-		w.logger().Error("sharding permutation space failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", serr)
-		w.failJob(ctx, tg.Token, fmt.Sprintf("sharding permutation space: %v", serr))
-		return false
-	}
-	b := src.Bounds()
-	offset, n := int(b.Lo), int(b.Hi-b.Lo)
-
-	topts := make([]trigene.Option, 0, len(opts)+1)
-	topts = append(topts, opts...)
-	topts = append(topts, trigene.WithMetrics(w.reg))
-
-	w.logger().Info("executing perm tile",
-		"job", grant.Job, "tile", tg.Tile, "offset", offset, "count", n, "token", tg.Token)
-	start := time.Now()
-	scores, err := sess.PermutationSlice(sctx, grant.Spec.Perm.SNPs, offset, n, topts...)
-
-	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		w.observe(elapsed)
-		w.wm.tiles.Inc()
-		w.wm.tileSeconds.Observe(elapsed.Seconds())
-		hb.finish(tg.Token)
-		accepted, cerr := w.Client.completePerm(ctx, tg.Token, scores)
-		switch {
-		case errors.Is(cerr, errLeaseLost):
-			w.logger().Info("completed after lease loss; result discarded",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-		case cerr != nil:
-			w.logger().Warn("posting perm scores failed",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", cerr)
-		case !accepted:
-			w.logger().Info("duplicate result discarded by coordinator",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+		if spec.Workers != 0 {
+			opts = append(opts, trigene.WithWorkers(spec.Workers))
 		}
-	case hb.lost(tg.Token):
-		w.logger().Info("lease lost mid-test; abandoning tile",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
-	case ctx.Err() != nil:
-		// Shutdown: leave the leases to expire and be re-issued.
-	default:
-		w.logger().Error("perm tile failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
-		w.failJob(ctx, tg.Token, err.Error())
-		return false
+		seedPairs := 0
+		if spec.Screen != nil {
+			seedPairs = spec.Screen.SeedPairs
+		}
+		return func(ctx context.Context, sess *trigene.Session, index, count int) (any, error) {
+			return sess.ScreenStage1(ctx, seedPairs, append(opts[:len(opts):len(opts)], trigene.WithShard(index, count))...)
+		}, nil
 	}
-	return true
+	opts, err := spec.Options()
+	if err != nil {
+		return nil, fmt.Errorf("rebuilding spec: %w", err)
+	}
+	opts = append(opts, trigene.WithMetrics(w.reg))
+	switch grant.Stage {
+	case stageSearch:
+		return func(ctx context.Context, sess *trigene.Session, index, count int) (any, error) {
+			return sess.Search(ctx, append(opts[:len(opts):len(opts)], trigene.WithShard(index, count))...)
+		}, nil
+	case stagePerm:
+		if spec.Perm == nil {
+			return nil, fmt.Errorf("perm grant without a perm spec")
+		}
+		return func(ctx context.Context, sess *trigene.Session, index, count int) (any, error) {
+			// Every permutation seeds its shuffle by absolute index, so
+			// the range is bit-exact whichever worker runs it.
+			src, err := sched.Permutations(spec.Perm.PermutationCount(), count).Shard(sched.Shard{Index: index, Count: count})
+			if err != nil {
+				return nil, fmt.Errorf("sharding permutation space: %w", err)
+			}
+			b := src.Bounds()
+			return sess.PermutationSlice(ctx, spec.Perm.SNPs, int(b.Lo), int(b.Hi-b.Lo), opts...)
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown grant stage %q", grant.Stage)
 }
 
-// executeTile runs one tile of a batch; it reports false when the
-// whole batch should be abandoned (the job was failed deterministically).
-func (w *Worker) executeTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session, opts []trigene.Option) bool {
+// executeTile runs one tile of a batch and posts its payload; it
+// reports false when the whole batch should be abandoned (the job was
+// failed deterministically).
+func (w *Worker) executeTile(ctx context.Context, hb *heartbeats, grant LeaseGrant, tg TileGrant, sess *trigene.Session, run tileRunner) bool {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hb.setCurrent(tg.Token, cancel)
 	defer hb.clearCurrent()
 
-	index, count := shardCoords(grant, tg)
-	topts := make([]trigene.Option, 0, len(opts)+2)
-	topts = append(topts, opts...)
-	topts = append(topts, trigene.WithShard(index, count))
-	topts = append(topts, trigene.WithMetrics(w.reg))
-
-	w.logger().Info("executing tile",
-		"job", grant.Job, "tile", tg.Tile, "tiles", grant.Tiles, "token", tg.Token)
+	index, count := tg.Tile-grant.StageBase, grant.StageCount
+	log := w.logger().With("job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+	log.Info("executing tile", "stage", grant.Stage, "shard", index, "shards", count)
 	start := time.Now()
-	rep, err := sess.Search(sctx, topts...)
+	payload, err := run(sctx, sess, index, count)
 
 	switch {
 	case err == nil:
@@ -514,31 +409,26 @@ func (w *Worker) executeTile(ctx context.Context, hb *heartbeats, grant LeaseGra
 		w.wm.tiles.Inc()
 		w.wm.tileSeconds.Observe(elapsed.Seconds())
 		hb.finish(tg.Token)
-		accepted, cerr := w.complete(ctx, tg.Token, rep)
+		accepted, cerr := w.Client.complete(ctx, tg.Token, payload)
 		switch {
 		case errors.Is(cerr, errLeaseLost):
-			w.logger().Info("completed after lease loss; result discarded",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+			log.Info("completed after lease loss; result discarded")
 		case cerr != nil:
 			// The result is lost; the lease expires and the tile is
 			// re-issued. Nothing to clean up.
-			w.logger().Warn("posting result failed",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", cerr)
+			log.Warn("posting result failed", "error", cerr)
 		case !accepted:
-			w.logger().Info("duplicate result discarded by coordinator",
-				"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+			log.Info("duplicate result discarded by coordinator")
 		}
 	case hb.lost(tg.Token):
-		w.logger().Info("lease lost mid-search; abandoning tile",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token)
+		log.Info("lease lost mid-tile; abandoning tile")
 	case ctx.Err() != nil:
 		// Shutdown: leave the leases to expire and be re-issued.
 	default:
 		// A deterministic execution error: retrying elsewhere cannot
 		// help, so fail the job loudly (and drop the rest of the batch
 		// — its leases die with the job).
-		w.logger().Error("tile failed; failing the job",
-			"job", grant.Job, "tile", tg.Tile, "token", tg.Token, "error", err)
+		log.Error("tile failed; failing the job", "error", err)
 		w.failJob(ctx, tg.Token, err.Error())
 		return false
 	}
@@ -777,11 +667,6 @@ func (w *Worker) renewOnce(ctx context.Context, token string) error {
 		w.logger().Warn("renew failed; will retry", "token", token, "error", err)
 	}
 	return nil
-}
-
-// complete posts the tile Report.
-func (w *Worker) complete(ctx context.Context, token string, rep *trigene.Report) (bool, error) {
-	return w.Client.complete(ctx, token, rep)
 }
 
 // failJob reports a deterministic failure.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -92,28 +93,13 @@ func NewLeaseTable(n int) *LeaseTable {
 // deadline of now+ttl. It returns false when every tile is either done
 // or covered by an unexpired lease.
 func (lt *LeaseTable) Acquire(now time.Time, ttl time.Duration) (TileLease, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for i := range lt.tiles {
-		t := &lt.tiles[i]
-		if t.state == tileDone || (t.state == tileLeased && now.Before(t.deadline)) {
-			continue
-		}
-		lt.seq++
-		t.state = tileLeased
-		t.seq = lt.seq
-		t.deadline = now.Add(ttl)
-		t.attempts++
-		return TileLease{Tile: i, Seq: t.seq, Attempt: t.attempts}, true
-	}
-	return TileLease{}, false
+	return lt.AcquireBelow(now, ttl, math.MaxInt)
 }
 
 // AcquireBelow is Acquire restricted to tiles with index < limit: the
-// phase gate of a two-stage job, where tiles [0, limit) are the
-// stage-1 screen shards and nothing past them may be granted until
-// every stage-1 tile completes. A limit at or above the table size
-// behaves exactly like Acquire.
+// phase gate of a multi-phase job, where tiles past the phases opened
+// so far may not be granted until the phase before them completes. A
+// limit at or above the table size behaves exactly like Acquire.
 func (lt *LeaseTable) AcquireBelow(now time.Time, ttl time.Duration, limit int) (TileLease, bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()

@@ -186,6 +186,20 @@ type ScreenScores struct {
 	DurationNs int64 `json:"durationNs"`
 }
 
+// ValidateShape checks internal consistency of one stage-1 scan — the
+// door check a coordinator runs on a posted shard before accounting its
+// tile done, and the precondition MergeScreens enforces on every input.
+func (sc *ScreenScores) ValidateShape() error {
+	if sc.SNPs < 0 || len(sc.Best) != sc.SNPs || len(sc.Seen) != sc.SNPs {
+		return fmt.Errorf("trigene: screen scores shape mismatch: %d SNPs, %d best, %d seen",
+			sc.SNPs, len(sc.Best), len(sc.Seen))
+	}
+	if _, err := score.New(sc.Objective, 1); err != nil {
+		return fmt.Errorf("trigene: screen scores carry no usable objective: %w", err)
+	}
+	return nil
+}
+
 // MergeScreens combines sharded stage-1 scans into the full scan's
 // scores: per-SNP bests merge elementwise under the shared objective,
 // pair counts sum, and the seed lists re-rank. The result is bit-exact
@@ -194,13 +208,18 @@ func MergeScreens(scores ...*ScreenScores) (*ScreenScores, error) {
 	if len(scores) == 0 {
 		return nil, fmt.Errorf("trigene: MergeScreens needs at least one scan")
 	}
-	base := scores[0]
-	if base == nil {
-		return nil, fmt.Errorf("trigene: MergeScreens got a nil scan")
+	for _, sc := range scores {
+		if sc == nil {
+			return nil, fmt.Errorf("trigene: MergeScreens got a nil scan")
+		}
+		if err := sc.ValidateShape(); err != nil {
+			return nil, err
+		}
 	}
+	base := scores[0]
 	obj, err := score.New(base.Objective, 1)
 	if err != nil {
-		return nil, fmt.Errorf("trigene: MergeScreens: scan carries no usable objective: %w", err)
+		return nil, err
 	}
 	out := &ScreenScores{
 		SNPs:      base.SNPs,
@@ -211,9 +230,6 @@ func MergeScreens(scores ...*ScreenScores) (*ScreenScores, error) {
 	cmp := candidateCmp(obj)
 	k := 0
 	for _, sc := range scores {
-		if sc == nil {
-			return nil, fmt.Errorf("trigene: MergeScreens got a nil scan")
-		}
 		if sc.SNPs != base.SNPs || sc.Objective != base.Objective {
 			return nil, fmt.Errorf("trigene: cannot merge a %d-SNP %s scan with a %d-SNP %s scan",
 				sc.SNPs, sc.Objective, base.SNPs, base.Objective)
@@ -232,7 +248,7 @@ func MergeScreens(scores ...*ScreenScores) (*ScreenScores, error) {
 	out.TopPairLimit = k
 	for _, sc := range scores {
 		for i := 0; i < base.SNPs; i++ {
-			if i >= len(sc.Seen) || !sc.Seen[i] {
+			if !sc.Seen[i] {
 				continue
 			}
 			if !out.Seen[i] || obj.Better(sc.Best[i], out.Best[i]) {

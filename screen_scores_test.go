@@ -2,6 +2,7 @@ package trigene
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -147,6 +148,21 @@ func TestMergeScreensRejections(t *testing.T) {
 	}
 	if _, err := MergeScreens(&ScreenScores{SNPs: 3, Objective: "nope"}); err == nil {
 		t.Error("unknown objective accepted")
+	}
+	// A shard whose per-SNP slices are shorter than SNPs (a worker-posted
+	// body) must fail the merge, not index past them.
+	short := &ScreenScores{SNPs: 3, Best: []float64{1}, Seen: []bool{true, true, true}, Objective: "k2"}
+	if _, err := MergeScreens(ok, short); err == nil {
+		t.Error("short Best accepted")
+	}
+	if _, err := MergeScreens(&ScreenScores{SNPs: -1, Objective: "k2"}); err == nil {
+		t.Error("negative SNP count accepted")
+	}
+	// The mismatch cases above are misshaped as well; a well-shaped scan
+	// under another objective must be refused for the mismatch itself.
+	mi := &ScreenScores{SNPs: 3, Best: make([]float64, 3), Seen: make([]bool, 3), Objective: "mi"}
+	if _, err := MergeScreens(ok, mi); err == nil || !strings.Contains(err.Error(), "cannot merge") {
+		t.Errorf("well-shaped objective mismatch: %v, want a merge refusal", err)
 	}
 }
 
